@@ -66,8 +66,12 @@ __all__ = ["APTQConfig", "APTQResult", "aptq_quantize_model"]
 
 _ATTENTION_PROJECTIONS = ("q_proj", "k_proj", "v_proj", "o_proj")
 
-#: On-disk schema version of APTQ run checkpoints.
-_CHECKPOINT_VERSION = 1
+#: On-disk layout version of APTQ run checkpoints written by this build.
+#: Version 1 also stored every finished layer's weight a second time
+#: (``layer/<name>/quantized``) and its codes as int64; version 2 restores
+#: the weight from ``model/<name>.weight`` and narrows the codes.  Both load.
+_CHECKPOINT_VERSION = 2
+_READABLE_CHECKPOINT_VERSIONS = (1, 2)
 
 
 @dataclasses.dataclass
@@ -172,17 +176,25 @@ def _save_run_checkpoint(
     layer_results: dict[str, SolverResult],
     journal: RunJournal,
 ) -> None:
-    """Atomically write the full resumable state of a run (one ``.npz``)."""
-    arrays: dict[str, np.ndarray] = {}
-    for name, array in model.state_dict().items():
-        arrays[f"model/{name}"] = array
+    """Atomically write the full resumable state of a run (one ``.npz``).
+
+    Each array is stored once: a finished layer's quantized weight *is* its
+    ``model/<name>.weight`` entry, and its codes (``0 .. 2**bits - 1``) take
+    the narrowest unsigned dtype that holds them.
+    """
+    arrays: dict[str, np.ndarray] = {
+        f"model/{name}": parameter.data
+        for name, parameter in model.named_parameters()
+    }
     layer_meta: dict[str, dict] = {}
     for name, result in layer_results.items():
         prefix = f"layer/{name}/"
-        arrays[prefix + "quantized"] = result.quantized_weight
-        arrays[prefix + "codes"] = result.group_result.codes
-        arrays[prefix + "scales"] = result.group_result.scales
-        arrays[prefix + "zeros"] = result.group_result.zeros
+        group = result.group_result
+        arrays[prefix + "codes"] = group.codes.astype(
+            np.min_scalar_type(2**group.bits - 1)
+        )
+        arrays[prefix + "scales"] = group.scales
+        arrays[prefix + "zeros"] = group.zeros
         if result.permutation is not None:
             arrays[prefix + "permutation"] = result.permutation
         layer_meta[name] = {
@@ -210,7 +222,11 @@ def _save_run_checkpoint(
 def _unpack_run_checkpoint(
     arrays: dict[str, np.ndarray], meta: dict
 ) -> tuple[dict[str, np.ndarray], dict, int]:
-    """Split a loaded run checkpoint into (model state, run state, next block)."""
+    """Split a loaded run checkpoint into (model state, run state, next block).
+
+    Reads both layouts: a version-1 ``layer/<name>/quantized`` entry is
+    ignored, because it equals the layer's ``model/<name>.weight``.
+    """
     model_state = {
         name[len("model/"):]: array
         for name, array in arrays.items()
@@ -220,14 +236,14 @@ def _unpack_run_checkpoint(
     for name, record in meta["layers"].items():
         prefix = f"layer/{name}/"
         group = GroupQuantResult(
-            codes=arrays[prefix + "codes"],
+            codes=arrays[prefix + "codes"].astype(np.int64),
             scales=arrays[prefix + "scales"],
             zeros=arrays[prefix + "zeros"],
             bits=int(record["bits"]),
             group_size=int(record["group_size"]),
         )
         layer_results[name] = SolverResult(
-            quantized_weight=arrays[prefix + "quantized"],
+            quantized_weight=model_state[f"{name}.weight"],
             group_result=group,
             compensated_loss=float(record["compensated_loss"]),
             mse=float(record["mse"]),
@@ -349,6 +365,12 @@ def _try_resume(
             f"checkpoint {checkpoint_file} was written by an incompatible "
             "run (different model/config/calibration); delete it or point "
             "checkpoint_path elsewhere"
+        )
+    version = meta.get("version")
+    if version not in _READABLE_CHECKPOINT_VERSIONS:
+        raise CheckpointError(
+            f"checkpoint {checkpoint_file} has layout version {version!r}; "
+            f"this build reads versions {_READABLE_CHECKPOINT_VERSIONS}"
         )
     return _unpack_run_checkpoint(arrays, meta)
 

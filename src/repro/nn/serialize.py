@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.nn.config import LlamaConfig
 from repro.nn.modules import Module
-from repro.runtime.checkpoint import atomic_save_npz, verify_checksum, write_checksum
+from repro.runtime.checkpoint import atomic_save_npz, verify_checksum
 from repro.runtime.errors import CheckpointError
 
 __all__ = ["save_arrays", "load_arrays", "save_state_dict", "load_state_dict"]
@@ -69,9 +69,7 @@ def save_arrays(
     payload[_META_KEY] = np.frombuffer(
         json.dumps(meta if meta is not None else {}).encode(), dtype=np.uint8
     )
-    out = atomic_save_npz(path, payload)
-    write_checksum(out)
-    return out
+    return atomic_save_npz(path, payload)
 
 
 def load_arrays(
@@ -119,7 +117,6 @@ def save_state_dict(path: str | Path, model: Module, config: LlamaConfig) -> Non
     payload = dict(model.state_dict())
     payload[_CONFIG_KEY] = _encode_config(config)
     atomic_save_npz(path, payload)
-    write_checksum(path)
 
 
 def load_state_dict(

@@ -9,15 +9,20 @@ picks up blindly.  Two mechanisms close that hole:
   ``os.replace``-d into place.  A crash at any point leaves either the old
   file or the new file, never a torn one.
 * **SHA-256 sidecars** — every write also lands ``<file>.sha256`` holding
-  the payload digest.  :func:`verify_checksum` re-hashes on load and raises
+  the payload digest, computed from the in-memory payload that was written,
+  so a write never reads its file back.
+  :func:`verify_checksum` re-hashes on load and raises
   :class:`~repro.runtime.errors.CheckpointError` on any mismatch, which
   catches bit-flips that a successful ``np.load`` would happily decode.
 
 On top of the primitives sits a small ``.npz``-based container
 (:func:`save_checkpoint` / :func:`load_checkpoint`) that pairs arbitrary
-named arrays with a JSON metadata blob — the on-disk format of both model
-checkpoints (:mod:`repro.nn.serialize`) and APTQ per-block run checkpoints
-(:mod:`repro.core.aptq`).
+named arrays with a JSON metadata blob — the on-disk format of APTQ
+per-block run checkpoints (:mod:`repro.core.aptq`).  It is a *stored*
+(uncompressed) archive: a run rewrites it after every block, float64
+weights barely deflate, and deflating was ~90% of each write.  Deploy
+artifacts and model checkpoints (:mod:`repro.nn.serialize`) are written
+once and stay compressed (:func:`atomic_save_npz`).
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from typing import Mapping
 
 import numpy as np
 
+from repro.runtime import faults
 from repro.runtime.errors import CheckpointError
 
 __all__ = [
@@ -49,8 +55,12 @@ __all__ = [
 _META_KEY = "__checkpoint_json__"
 
 
-def atomic_write_bytes(path: str | Path, data: bytes) -> Path:
-    """Write ``data`` to ``path`` atomically (tmp file + ``os.replace``)."""
+def atomic_write_bytes(path: str | Path, data: bytes | memoryview) -> Path:
+    """Write ``data`` to ``path`` atomically (tmp file + ``os.replace``).
+
+    The ``"io"`` fault site (key: the file name) fires after the fsync and
+    before the rename, where a real crash or a full disk would strike.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(
@@ -61,6 +71,7 @@ def atomic_write_bytes(path: str | Path, data: bytes) -> Path:
             handle.write(data)
             handle.flush()
             os.fsync(handle.fileno())
+        faults.maybe_fault("io", path.name)
         os.replace(tmp_name, path)
     except BaseException:
         # The temp file must never survive a failed write.
@@ -72,11 +83,17 @@ def atomic_write_bytes(path: str | Path, data: bytes) -> Path:
     return path
 
 
-def atomic_save_npz(path: str | Path, arrays: Mapping[str, np.ndarray]) -> Path:
-    """Serialize ``arrays`` to a compressed ``.npz`` and write it atomically."""
+def _npz_bytes(arrays: Mapping[str, np.ndarray], compressed: bool) -> memoryview:
+    """``arrays`` serialized to an in-memory ``.npz`` (deflated or stored)."""
     buffer = io.BytesIO()
-    np.savez_compressed(buffer, **dict(arrays))
-    return atomic_write_bytes(path, buffer.getvalue())
+    save = np.savez_compressed if compressed else np.savez
+    save(buffer, **dict(arrays))
+    return buffer.getbuffer()
+
+
+def atomic_save_npz(path: str | Path, arrays: Mapping[str, np.ndarray]) -> Path:
+    """Write ``arrays`` as a compressed ``.npz``, atomically and checksummed."""
+    return _atomic_write_checksummed(path, _npz_bytes(arrays, compressed=True))
 
 
 def sha256_of_file(path: str | Path) -> str:
@@ -94,11 +111,26 @@ def checksum_path(path: str | Path) -> Path:
     return path.with_name(path.name + ".sha256")
 
 
+def _write_sidecar(path: Path, digest: str) -> Path:
+    line = f"{digest}  {path.name}\n"
+    return atomic_write_bytes(checksum_path(path), line.encode())
+
+
 def write_checksum(path: str | Path) -> Path:
     """Write the SHA-256 sidecar for ``path`` (atomically) and return it."""
     path = Path(path)
-    line = f"{sha256_of_file(path)}  {path.name}\n"
-    return atomic_write_bytes(checksum_path(path), line.encode())
+    return _write_sidecar(path, sha256_of_file(path))
+
+
+def _atomic_write_checksummed(path: str | Path, data: bytes | memoryview) -> Path:
+    """:func:`atomic_write_bytes` plus a sidecar digested from ``data``.
+
+    Same sidecar as :func:`write_checksum`, but hashed from the bytes in
+    memory rather than by reading the written file back.
+    """
+    path = atomic_write_bytes(path, data)
+    _write_sidecar(path, hashlib.sha256(data).hexdigest())
+    return path
 
 
 def verify_checksum(path: str | Path, required: bool = False) -> bool:
@@ -131,16 +163,18 @@ def verify_checksum(path: str | Path, required: bool = False) -> bool:
 def save_checkpoint(
     path: str | Path, arrays: Mapping[str, np.ndarray], meta: Mapping
 ) -> Path:
-    """Atomically write arrays + JSON ``meta`` as one checksummed ``.npz``."""
+    """Atomically write arrays + JSON ``meta`` as one checksummed ``.npz``.
+
+    The archive is stored, not deflated (see the module docstring).
+    """
     payload = dict(arrays)
     if _META_KEY in payload:
         raise ValueError(f"array name {_META_KEY!r} is reserved")
     payload[_META_KEY] = np.frombuffer(
         json.dumps(dict(meta)).encode(), dtype=np.uint8
     )
-    atomic_save_npz(path, payload)
-    write_checksum(path)
-    return Path(path)
+    archive = _npz_bytes(payload, compressed=False)
+    return _atomic_write_checksummed(path, archive)
 
 
 def load_checkpoint(

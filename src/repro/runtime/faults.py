@@ -18,6 +18,11 @@ Sites wired into the runtime:
   after the previous block's checkpoint landed on disk.
 * ``"calibration-batch"`` — transforms (poisons) the matching calibration
   batch in :func:`repro.quant.calibration_hooks.collect_input_stats`.
+* ``"io"`` — key is the destination file name (``"run.npz"``,
+  ``"run.npz.sha256"``); fires in
+  :func:`repro.runtime.checkpoint.atomic_write_bytes` after the temp file
+  is fsynced and before it replaces the destination, so a planned
+  ``OSError`` acts like a crash or full disk mid-write.
 
 Serving fault sites (wired into :mod:`repro.serve`):
 

@@ -2,14 +2,17 @@
 
 import os
 import warnings
+import zipfile
 
 import numpy as np
 import pytest
 
 from repro.models.zoo import pretrained
-from repro.nn.serialize import load_state_dict, save_state_dict
+from repro.nn.serialize import load_state_dict, save_arrays, save_state_dict
+from repro.quant.deploy import pack_model
 from repro.runtime import (
     CheckpointError,
+    FaultInjector,
     atomic_save_npz,
     atomic_write_bytes,
     checksum_path,
@@ -22,7 +25,7 @@ from repro.runtime import (
     write_checksum,
 )
 from repro.training.trainer import TrainingConfig
-from tests.conftest import MICRO_CONFIG
+from tests.conftest import MICRO_CONFIG, clone
 from repro.nn.transformer import LlamaModel
 
 
@@ -46,6 +49,18 @@ class TestAtomicWrites:
         with pytest.raises(OSError, match="simulated crash"):
             atomic_write_bytes(target, b"new")
         monkeypatch.undo()
+        assert target.read_bytes() == b"old"
+        assert [p.name for p in tmp_path.iterdir()] == ["blob.bin"]
+
+    def test_io_fault_leaves_original_and_no_residue(self, tmp_path):
+        target = tmp_path / "blob.bin"
+        target.write_bytes(b"old")
+        with FaultInjector().fail_at(
+            "io", "blob.bin", OSError("injected disk full")
+        ) as injector:
+            with pytest.raises(OSError, match="injected disk full"):
+                atomic_write_bytes(target, b"new")
+        assert injector.fired == [("io", "blob.bin")]
         assert target.read_bytes() == b"old"
         assert [p.name for p in tmp_path.iterdir()] == ["blob.bin"]
 
@@ -124,6 +139,58 @@ class TestCheckpointContainer:
         np.savez(target, w=np.zeros(3))
         with pytest.raises(CheckpointError, match="__checkpoint_json__"):
             load_checkpoint(target)
+
+
+def _write_run_checkpoint(path, micro_model):
+    save_checkpoint(path, micro_model.state_dict(), {"next_block": 1})
+
+
+def _write_arrays(path, micro_model):
+    save_arrays(path, micro_model.state_dict(), {"kind": "test"})
+
+
+def _write_state_dict(path, micro_model):
+    save_state_dict(path, micro_model, MICRO_CONFIG)
+
+
+def _write_packed_model(path, micro_model):
+    pack_model(clone(micro_model), bits=4, group_size=8).save(path)
+
+
+class TestWriterSidecars:
+    """Every writer digests its payload in memory; the digest must still be
+    the digest of the bytes that landed on disk."""
+
+    WRITERS = {
+        "save_checkpoint": (_write_run_checkpoint, zipfile.ZIP_STORED),
+        "save_arrays": (_write_arrays, zipfile.ZIP_DEFLATED),
+        "save_state_dict": (_write_state_dict, zipfile.ZIP_DEFLATED),
+        "PackedModel.save": (_write_packed_model, zipfile.ZIP_DEFLATED),
+    }
+
+    @pytest.mark.parametrize("writer", sorted(WRITERS))
+    def test_sidecar_is_digest_of_file_on_disk(
+        self, writer, tmp_path, micro_model
+    ):
+        write, _ = self.WRITERS[writer]
+        target = tmp_path / "out.npz"
+        write(target, micro_model)
+        digest, name = checksum_path(target).read_text().split()
+        assert name == "out.npz"
+        assert digest == sha256_of_file(target)
+        assert verify_checksum(target, required=True)
+
+    @pytest.mark.parametrize("writer", sorted(WRITERS))
+    def test_archive_compression(self, writer, tmp_path, micro_model):
+        # Run checkpoints are rewritten after every block and stay stored;
+        # artifacts written once (models, deploy archives) stay deflated.
+        write, compression = self.WRITERS[writer]
+        target = tmp_path / "out.npz"
+        write(target, micro_model)
+        with zipfile.ZipFile(target) as archive:
+            assert {info.compress_type for info in archive.infolist()} == {
+                compression
+            }
 
 
 class TestModelSerialization:

@@ -7,6 +7,9 @@ weights** to an uninterrupted run, with the RunHealth report listing the
 exact retry/fallback/resume events.
 """
 
+import json
+import shutil
+
 import numpy as np
 import pytest
 
@@ -16,7 +19,10 @@ from repro.runtime import (
     CheckpointError,
     FaultInjector,
     InjectedFault,
+    load_checkpoint,
     save_checkpoint,
+    verify_checksum,
+    write_checksum,
 )
 from tests.conftest import clone
 
@@ -168,3 +174,142 @@ class TestResumeGuards:
             allocation={}, sensitivities={}, layer_results={}, average_bits=0.0
         )
         assert result.health.status == "clean"
+
+
+def _assert_matches_clean_run(result, model, clean_run):
+    """Weights and every layer result bit-identical to the clean run."""
+    clean_result, clean_model = clean_run
+    for name, array in clean_model.state_dict().items():
+        np.testing.assert_array_equal(
+            model.state_dict()[name], array, err_msg=name
+        )
+    assert set(result.layer_results) == set(clean_result.layer_results)
+    for name, reference in clean_result.layer_results.items():
+        got = result.layer_results[name]
+        np.testing.assert_array_equal(
+            got.quantized_weight, reference.quantized_weight, err_msg=name
+        )
+        for field in ("codes", "scales", "zeros"):
+            expected = getattr(reference.group_result, field)
+            actual = getattr(got.group_result, field)
+            assert actual.dtype == expected.dtype, (name, field)
+            np.testing.assert_array_equal(actual, expected, err_msg=name)
+        assert got.group_result.bits == reference.group_result.bits
+        assert got.group_result.group_size == reference.group_result.group_size
+        assert got.compensated_loss == reference.compensated_loss
+        assert got.mse == reference.mse
+    assert result.allocation == clean_result.allocation
+
+
+@pytest.fixture(scope="module")
+def block1_checkpoint(trained_micro_model, calibration, tmp_path_factory):
+    """Checkpoint + sidecar of a run that crashed when block 1 started."""
+    checkpoint = tmp_path_factory.mktemp("block1") / "aptq-run.npz"
+    with FaultInjector().crash_at_block(1):
+        with pytest.raises(InjectedFault):
+            aptq_quantize_model(
+                clone(trained_micro_model), calibration,
+                APTQConfig(checkpoint_path=checkpoint, **CONFIG_KWARGS),
+            )
+    return checkpoint
+
+
+def _copy_checkpoint(source, directory):
+    target = directory / source.name
+    shutil.copy(source, target)
+    shutil.copy(
+        source.with_name(source.name + ".sha256"),
+        target.with_name(target.name + ".sha256"),
+    )
+    return target
+
+
+def _resume(model, calibration, checkpoint):
+    return aptq_quantize_model(
+        model, calibration,
+        APTQConfig(checkpoint_path=checkpoint, resume=True, **CONFIG_KWARGS),
+    )
+
+
+class TestCheckpointLayout:
+    def test_final_checkpoint_stores_each_array_once(
+        self, trained_micro_model, calibration, clean_run, tmp_path
+    ):
+        checkpoint = tmp_path / "aptq-run.npz"
+        model = clone(trained_micro_model)
+        result = aptq_quantize_model(
+            model, calibration,
+            APTQConfig(checkpoint_path=checkpoint, **CONFIG_KWARGS),
+        )
+        _assert_matches_clean_run(result, model, clean_run)
+        arrays, meta = load_checkpoint(checkpoint)
+        assert meta["version"] == 2
+        assert not [key for key in arrays if key.endswith("/quantized")]
+        assert set(meta["layers"]) == set(result.layer_results)
+        for name, record in meta["layers"].items():
+            assert record["bits"] <= 8
+            codes = arrays[f"layer/{name}/codes"]
+            weight = arrays[f"model/{name}.weight"]
+            assert codes.shape == weight.shape
+            assert codes.nbytes <= weight.size, name
+
+    def test_version_1_checkpoint_resumes_bit_identically(
+        self, trained_micro_model, calibration, clean_run, block1_checkpoint,
+        tmp_path,
+    ):
+        # Rewrite the block-1 checkpoint in the version-1 layout: deflated
+        # archive, a second copy of each finished weight, int64 codes.
+        checkpoint = tmp_path / "aptq-run.npz"
+        arrays, meta = load_checkpoint(block1_checkpoint)
+        for name in meta["layers"]:
+            prefix = f"layer/{name}/"
+            arrays[prefix + "quantized"] = arrays[f"model/{name}.weight"]
+            arrays[prefix + "codes"] = arrays[prefix + "codes"].astype(np.int64)
+        meta["version"] = 1
+        arrays["__checkpoint_json__"] = np.frombuffer(
+            json.dumps(meta).encode(), dtype=np.uint8
+        )
+        np.savez_compressed(checkpoint, **arrays)
+        write_checksum(checkpoint)
+
+        model = clone(trained_micro_model)
+        result = _resume(model, calibration, checkpoint)
+        assert result.health.by_category("resume")[0].detail["next_block"] == 1
+        _assert_matches_clean_run(result, model, clean_run)
+
+    def test_unknown_version_raises(
+        self, trained_micro_model, calibration, block1_checkpoint, tmp_path
+    ):
+        checkpoint = tmp_path / "aptq-run.npz"
+        arrays, meta = load_checkpoint(block1_checkpoint)
+        save_checkpoint(checkpoint, arrays, {**meta, "version": 3})
+        with pytest.raises(CheckpointError, match="layout version 3"):
+            _resume(clone(trained_micro_model), calibration, checkpoint)
+
+
+class TestFailedCheckpointWrite:
+    def test_failed_write_keeps_previous_checkpoint_and_resumes(
+        self, trained_micro_model, calibration, clean_run, block1_checkpoint,
+        tmp_path,
+    ):
+        checkpoint = _copy_checkpoint(block1_checkpoint, tmp_path)
+        model = clone(trained_micro_model)
+        # The resumed run finishes block 1, then its checkpoint write (the
+        # second of the run) fails between fsync and rename.
+        with FaultInjector().fail_at(
+            "io", checkpoint.name, OSError("injected disk full")
+        ) as injector:
+            with pytest.raises(OSError, match="injected disk full"):
+                _resume(model, calibration, checkpoint)
+        assert injector.fired == [("io", checkpoint.name)]
+
+        assert verify_checksum(checkpoint, required=True)
+        _, meta = load_checkpoint(checkpoint)
+        assert meta["next_block"] == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "aptq-run.npz", "aptq-run.npz.sha256",
+        ]
+
+        model = clone(trained_micro_model)
+        result = _resume(model, calibration, checkpoint)
+        _assert_matches_clean_run(result, model, clean_run)
