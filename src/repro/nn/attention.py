@@ -3,14 +3,18 @@
 The projection submodules are named ``q_proj``/``k_proj``/``v_proj``/``o_proj``
 to match the paper's layer naming ("self_attn.k_proj" in Algorithm 1).
 
-Two forward paths exist:
+Three forward paths exist:
 
 * :meth:`MultiHeadAttention.forward` — autograd path (training, QAT, and
   the independent verification of the analytic APTQ derivatives);
 * :meth:`MultiHeadAttention.forward_array` — fast numpy inference path that
   can additionally *capture* every intermediate the APTQ Hessian
   construction needs (Q, K, V, pre-softmax scores N, attention probs P,
-  concatenated head outputs C — cf. paper Eqs. (9)-(15)).
+  concatenated head outputs C — cf. paper Eqs. (9)-(15));
+* :meth:`MultiHeadAttention.forward_cached` — the one incremental path:
+  new tokens of every row attend against that row's history in the paged
+  KV cache (:mod:`repro.nn.kvcache`).  Prefill, continuation and the
+  continuous-batching decode step of the serving layer all run through it.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ __all__ = [
     "RotaryEmbedding",
     "AttentionCapture",
     "MultiHeadAttention",
-    "KVCache",
 ]
 
 
@@ -170,111 +173,39 @@ class MultiHeadAttention(Module):
         )
 
     # ------------------------------------------------------------------
-    # Incremental decoding with a KV cache
+    # Incremental inference over the KV cache
     # ------------------------------------------------------------------
-    def forward_step(
-        self,
-        x: np.ndarray,
-        cache: "KVCache",
-        position: int,
-    ) -> np.ndarray:
-        """Attend one new token at ``position`` against the cached keys.
+    def forward_cached(self, x: np.ndarray, append_kv) -> np.ndarray:
+        """Attend ``seq`` new tokens per row against that row's cached keys.
 
-        ``x`` is (batch, 1, d_model); the cache is appended in place.
-        Equivalent to the last row of :meth:`forward_array` over the full
-        prefix, at O(prefix) instead of O(prefix²) cost.
-        """
-        batch = x.shape[0]
-        cos, sin = self.rope.tables(position + 1)
-        cos_t, sin_t = cos[position], sin[position]
+        ``x`` is ``(batch, seq, d_model)``.  ``append_kv`` is this layer's
+        :class:`~repro.nn.kvcache.RaggedView`: row ``b``'s new tokens start
+        at ``append_kv.lengths[b]`` (rows may hold different lengths), and
+        ``append_kv.append(b, k, v)`` stores the row's rotated keys and
+        values ``(1, h, seq, d)`` and returns its full cached history
+        ``(1, h, length, d)``.  Each row then attends against its own
+        history; the offset causal mask is applied only when ``seq > 1``.
 
-        def split(a: np.ndarray) -> np.ndarray:
-            return a.reshape(batch, 1, self.n_heads, self.d_head).transpose(
-                0, 2, 1, 3
-            )
-
-        q = F.apply_rope(split(self.q_proj.forward_array(x)), cos_t, sin_t)
-        k = F.apply_rope(split(self.k_proj.forward_array(x)), cos_t, sin_t)
-        v = split(self.v_proj.forward_array(x))
-        keys, values = cache.append(k, v)
-        scores = q @ np.swapaxes(keys, -1, -2) / np.sqrt(self.d_head)
-        probs = F.softmax(scores, axis=-1)
-        context = probs @ values
-        heads = context.transpose(0, 2, 1, 3).reshape(batch, 1, self.d_model)
-        return self.o_proj.forward_array(heads)
-
-    def forward_step_ragged(
-        self,
-        x: np.ndarray,
-        positions: np.ndarray,
-        append_kv,
-    ) -> np.ndarray:
-        """Attend one new token per row at *per-row* positions (ragged batch).
-
-        Generalizes :meth:`forward_step` to rows of different lengths — the
-        continuous-batching decode step, where each row belongs to a
-        different request.  ``x`` is ``(batch, 1, d_model)``; ``positions``
-        gives row ``b``'s absolute position; ``append_kv(row, k, v)`` stores
-        the row's new key/value ``(1, h, 1, d)`` in that row's cache (a
-        :class:`KVCache` or a paged block table) and returns the full
-        cached ``(keys, values)`` of shape ``(1, h, len, d)``.
-
-        Per row the arithmetic is exactly :meth:`forward_step` on a
-        batch of one: projections, rope, and the output projection are
-        row-independent, and each row's attention runs against its own
-        gathered keys/values with the same shapes a dedicated
-        :class:`KVCache` would serve.  ``tests/test_serve_paged_cache.py``
-        pins bit-identity against serial :meth:`forward_step` decoding.
-        """
-        batch = x.shape[0]
-        positions = np.asarray(positions, dtype=np.int64).reshape(-1)
-        if positions.size != batch:
-            raise ValueError("positions must provide one entry per row")
-        cos, sin = self.rope.tables(int(positions.max()) + 1)
-        # Per-row rope rows, broadcast over heads: (batch, 1, 1, d_head).
-        cos_t = cos[positions][:, None, None, :]
-        sin_t = sin[positions][:, None, None, :]
-
-        def split(a: np.ndarray) -> np.ndarray:
-            return a.reshape(batch, 1, self.n_heads, self.d_head).transpose(
-                0, 2, 1, 3
-            )
-
-        q = F.apply_rope(split(self.q_proj.forward_array(x)), cos_t, sin_t)
-        k = F.apply_rope(split(self.k_proj.forward_array(x)), cos_t, sin_t)
-        v = split(self.v_proj.forward_array(x))
-        heads = np.empty((batch, 1, self.d_model), dtype=x.dtype)
-        for row in range(batch):
-            keys, values = append_kv(row, k[row : row + 1], v[row : row + 1])
-            scores = (
-                q[row : row + 1]
-                @ np.swapaxes(keys, -1, -2)
-                / np.sqrt(self.d_head)
-            )
-            probs = F.softmax(scores, axis=-1)
-            context = probs @ values
-            heads[row] = context.transpose(0, 2, 1, 3).reshape(
-                1, 1, self.d_model
-            )
-        return self.o_proj.forward_array(heads)
-
-    def forward_prefill(self, x: np.ndarray, cache: "KVCache") -> np.ndarray:
-        """Attend ``seq`` new tokens against the cache in one batched pass.
-
-        ``x`` is (batch, seq, d_model); the new tokens occupy positions
-        ``cache.length .. cache.length + seq - 1`` and the cache is appended
-        in place.  On an empty cache this performs the same arithmetic as
-        :meth:`forward_array` (identical rope rows, mask values, and
-        reductions); a single prefill replaces ``seq`` successive
-        :meth:`forward_step` calls with one batched attention, which is why
-        :meth:`~repro.nn.transformer.LlamaModel.generate_cached` prompt
-        processing is O(seq) matmul launches instead of O(seq²).
+        One method serves prompt prefill, warm continuation and the
+        continuous-batching decode step.  Projections, rope and the output
+        projection are row-independent and each row's attention has the
+        shapes of a batch of one, so row ``b`` is bit-identical to the row
+        extended alone — and on an empty cache to :meth:`forward_array`
+        (identical rope rows, mask values and reductions), at O(length)
+        instead of O(length²) per decoded token.
         """
         batch, seq, _ = x.shape
-        start = cache.length
-        total = start + seq
-        cos, sin = self.rope.tables(total)
-        cos_t, sin_t = cos[start:total], sin[start:total]
+        starts = append_kv.lengths
+        cos, sin = self.rope.tables(max(starts) + seq)
+        if min(starts) == max(starts):
+            # One shared start (generate_cached, LLM-QAT): a (seq, d_head)
+            # slice broadcasts over rows and heads, cheaper per decoded
+            # token than gathering per-row tables.
+            cos_t, sin_t = cos[-seq:], sin[-seq:]
+        else:
+            # Ragged rows: per-row tables, (batch, 1, seq, d_head).
+            rows = np.asarray(starts)[:, None] + np.arange(seq)
+            cos_t, sin_t = cos[rows][:, None], sin[rows][:, None]
 
         def split(a: np.ndarray) -> np.ndarray:
             return a.reshape(batch, seq, self.n_heads, self.d_head).transpose(
@@ -284,106 +215,19 @@ class MultiHeadAttention(Module):
         q = F.apply_rope(split(self.q_proj.forward_array(x)), cos_t, sin_t)
         k = F.apply_rope(split(self.k_proj.forward_array(x)), cos_t, sin_t)
         v = split(self.v_proj.forward_array(x))
-        keys, values = cache.append(k, v)
-        scores = q @ np.swapaxes(keys, -1, -2) / np.sqrt(self.d_head)
-        if seq > 1:
-            # Offset causal mask: new token i (absolute position start + i)
-            # attends to absolute positions <= start + i.  For start == 0
-            # this is exactly ``F.causal_mask(seq)``.
-            mask = np.zeros((seq, total))
-            blocked = np.arange(total)[None, :] > (
-                start + np.arange(seq)[:, None]
+        scale = np.sqrt(self.d_head)
+        context = np.empty_like(q)
+        for row in range(batch):
+            keys, values = append_kv.append(
+                row, k[row : row + 1], v[row : row + 1]
             )
-            mask[blocked] = -np.inf
-            scores = scores + mask
-        probs = F.softmax(scores, axis=-1)
-        context = probs @ values
+            scores = q[row : row + 1] @ np.swapaxes(keys, -1, -2) / scale
+            if seq > 1:
+                # New token i (position start + i) sees keys <= start + i;
+                # for start == 0 this is exactly ``F.causal_mask(seq)``.
+                blocked = np.full((seq, keys.shape[2]), -np.inf)
+                scores = scores + np.triu(blocked, k=starts[row] + 1)
+            probs = F.softmax(scores, axis=-1)
+            context[row] = (probs @ values)[0]
         heads = context.transpose(0, 2, 1, 3).reshape(batch, seq, self.d_model)
         return self.o_proj.forward_array(heads)
-
-
-class KVCache:
-    """Preallocated key/value cache for one attention block.
-
-    The pre-PR-5 cache re-concatenated the whole history on every appended
-    token — O(n²) copying over a decode.  This cache owns one contiguous
-    buffer per tensor and writes new keys/values into the next free slots:
-
-    * ``capacity`` preallocates the buffer at first append (pass
-      ``max_seq_len`` so a decode never reallocates);
-    * with the default ``capacity=0`` the buffer grows by doubling, an
-      amortised O(1) append;
-    * :attr:`keys`/:attr:`values` are zero-copy views of the filled prefix —
-      element-for-element the arrays concatenation would have produced.
-
-    Buffer shape and dtype come from the first appended array, so the cache
-    is agnostic to batch size, head count, and head dimension.
-    """
-
-    def __init__(self, capacity: int = 0) -> None:
-        if capacity < 0:
-            raise ValueError("capacity must be non-negative")
-        self.capacity = int(capacity)
-        self._keys: Optional[np.ndarray] = None
-        self._values: Optional[np.ndarray] = None
-        self._length = 0
-
-    @property
-    def length(self) -> int:
-        """Number of cached positions."""
-        return self._length
-
-    @property
-    def keys(self) -> Optional[np.ndarray]:
-        """Read-only view of the cached keys, ``(b, h, length, d)``.
-
-        ``None`` while empty.  The view is marked non-writable so callers
-        cannot corrupt the cache through the alias; the backing buffer
-        itself stays writable for :meth:`append`.
-        """
-        if self._keys is None:
-            return None
-        view = self._keys[:, :, : self._length]
-        view.flags.writeable = False
-        return view
-
-    @property
-    def values(self) -> Optional[np.ndarray]:
-        """Read-only view of the cached values, ``(b, h, length, d)``.
-
-        ``None`` while empty; non-writable like :attr:`keys`.
-        """
-        if self._values is None:
-            return None
-        view = self._values[:, :, : self._length]
-        view.flags.writeable = False
-        return view
-
-    def _reserve(self, template: np.ndarray, needed: int) -> None:
-        """Ensure the buffers hold at least ``needed`` positions."""
-        if self._keys is not None and self._keys.shape[2] >= needed:
-            return
-        if self._keys is None:
-            size = max(self.capacity, needed)
-        else:
-            size = max(2 * self._keys.shape[2], needed)
-        batch, heads, _, d_head = template.shape
-        keys = np.empty((batch, heads, size, d_head), dtype=template.dtype)
-        values = np.empty_like(keys)
-        if self._keys is not None:
-            keys[:, :, : self._length] = self._keys[:, :, : self._length]
-            values[:, :, : self._length] = self._values[:, :, : self._length]
-        self._keys, self._values = keys, values
-
-    def append(
-        self, k: np.ndarray, v: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Append ``(b, h, t, d)`` keys/values; returns views of the caches."""
-        k = np.asarray(k)
-        v = np.asarray(v)
-        new = self._length + k.shape[2]
-        self._reserve(k, new)
-        self._keys[:, :, self._length : new] = k
-        self._values[:, :, self._length : new] = v
-        self._length = new
-        return self.keys, self.values

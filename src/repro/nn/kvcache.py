@@ -1,39 +1,27 @@
-"""Paged KV cache: a block-pool allocator behind the ragged decode path.
+"""Paged KV cache: the one key/value store behind every cached forward.
 
-:class:`repro.nn.attention.KVCache` preallocates one contiguous
-``max_seq_len`` buffer per layer per sequence, which forces every row of a
-batch to share one length.  :class:`PagedKVCache` lifts that restriction the
-way vLLM's PagedAttention does: key/value storage is a fixed pool of
-fixed-size *blocks* shared by all sequences, and each sequence maps its
-token positions onto pool blocks through a block table.  Sequences of any
-length can therefore join and leave a running batch, and freeing a finished
-sequence returns its blocks to the pool immediately.
+Key/value storage is a fixed pool of fixed-size *blocks* shared by all
+sequences; each sequence maps its positions onto pool blocks through a
+block table (vLLM's PagedAttention layout), so sequences of any length
+join and leave a running batch and a freed sequence returns its blocks at
+once.  A contiguous per-sequence cache is the case of one block per
+sequence: :meth:`~repro.nn.transformer.LlamaModel.new_cache` builds one
+``max_seq_len`` block per row for ``generate_cached`` and LLM-QAT, while
+the serving worker runs many small blocks.  :class:`RaggedView` is the
+only adapter; it is what
+:meth:`~repro.nn.transformer.LlamaModel.forward_cached` consumes.
 
-Two access protocols are exposed:
-
-* :meth:`PagedKVCache.layer_view` returns an adapter with the
-  ``.length`` / ``.append(k, v) -> (keys, values)`` surface of
-  :class:`~repro.nn.attention.KVCache`, so
-  :meth:`~repro.nn.transformer.LlamaModel.prefill` works per sequence
-  unchanged.
-* :meth:`PagedKVCache.append` is the ``append(layer, row, ...)`` backend
-  consumed by :meth:`~repro.nn.transformer.LlamaModel.decode_step_ragged`
-  via :class:`RaggedView`.
-
-Gathered histories are exact copies of what was appended (block writes and
-fancy-index gathers move bytes, never round), returned as read-only arrays;
-attention over a paged sequence is therefore bit-identical to attention
-over a contiguous :class:`~repro.nn.attention.KVCache` — the property the
-serving layer's determinism contract rests on.
-
-Exhaustion is a typed, recoverable signal: :meth:`reserve` raises
-:class:`~repro.runtime.errors.CacheExhausted` *before* any bytes are
-written, so the scheduler can preempt a victim sequence and retry without
-ever observing a half-written cache.
+Gathers move bytes and never round, and histories are returned read-only,
+so attention over any block geometry is bit-identical — the serving
+layer's determinism contract.  :meth:`PagedKVCache.reserve` raises
+:class:`~repro.runtime.errors.CacheExhausted` *before* any byte is
+written, so the scheduler can preempt and retry without ever observing a
+half-written cache.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from typing import Optional
 
 import numpy as np
@@ -44,7 +32,7 @@ __all__ = ["PagedKVCache", "RaggedView"]
 
 
 class PagedKVCache:
-    """Block-pooled KV storage shared by all sequences of one worker.
+    """Block-pooled KV storage shared by a set of sequences.
 
     ``num_blocks`` blocks of ``block_size`` token slots each are shared
     across sequences; every block stores all ``n_layers`` layers, so one
@@ -147,48 +135,40 @@ class PagedKVCache:
             self.free(seq_id)
 
     # -- storage ----------------------------------------------------------
-    def _ensure_pools(self, template: np.ndarray) -> None:
-        """Allocate the K/V pools from the first key tensor's geometry."""
-        if self._keys is not None:
-            return
-        heads, d_head = template.shape[1], template.shape[3]
-        shape = (self.n_layers, self.num_blocks, heads, self.block_size, d_head)
-        self._keys = np.zeros(shape, dtype=template.dtype)
-        self._values = np.zeros(shape, dtype=template.dtype)
-
     def append(
         self, layer: int, seq_id: str, k: np.ndarray, v: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """Append ``(1, heads, t, d_head)`` keys/values for one sequence.
 
         Returns the sequence's full cached history at ``layer`` as two
-        read-only ``(1, heads, length, d_head)`` arrays, mirroring
-        :meth:`repro.nn.attention.KVCache.append`.
+        read-only ``(1, heads, length, d_head)`` arrays (see
+        :meth:`gather`).
         """
-        k = np.asarray(k)
-        v = np.asarray(v)
         if k.ndim != 4 or k.shape[0] != 1:
             raise ValueError(
                 f"expected (1, heads, t, d_head) keys, got {k.shape}"
             )
-        self._ensure_pools(k)
+        if self._keys is None:
+            heads, d_head = k.shape[1], k.shape[3]
+            shape = (self.n_layers, self.num_blocks, heads, self.block_size,
+                     d_head)
+            self._keys = np.zeros(shape, dtype=k.dtype)
+            self._values = np.zeros(shape, dtype=k.dtype)
         lengths = self._lengths[seq_id]
         start = lengths[layer]
-        step = k.shape[2]
-        end = start + step
-        self.reserve(seq_id, end)
+        end = start + k.shape[2]
         table = self._tables[seq_id]
+        if end > len(table) * self.block_size:
+            self.reserve(seq_id, end)
         pos = start
-        taken = 0
         while pos < end:
             block = table[pos // self.block_size]
             offset = pos % self.block_size
             take = min(self.block_size - offset, end - pos)
             sel = (layer, block, slice(None), slice(offset, offset + take))
-            self._keys[sel] = k[0][:, taken : taken + take]
-            self._values[sel] = v[0][:, taken : taken + take]
+            self._keys[sel] = k[0, :, pos - start : pos - start + take]
+            self._values[sel] = v[0, :, pos - start : pos - start + take]
             pos += take
-            taken += take
         lengths[layer] = end
         return self.gather(layer, seq_id)
 
@@ -197,71 +177,67 @@ class PagedKVCache:
     ) -> tuple[np.ndarray, np.ndarray]:
         """The sequence's cached ``(1, heads, length, d_head)`` history.
 
-        Returned arrays are freshly gathered copies with the write flag
-        cleared — callers cannot corrupt pool state through them.
+        Both arrays have the write flag cleared, so callers cannot corrupt
+        pool state through them.  A history inside one block is a view of
+        the pool, valid until the sequence is freed (later appends write
+        only past its end); a longer one is gathered into a fresh copy.
         """
         length = self._lengths[seq_id][layer]
         table = self._tables[seq_id]
-        blocks = np.asarray(table[: self.blocks_for(length)], dtype=np.intp)
-        out = []
-        for pool in (self._keys, self._values):
-            stacked = pool[layer, blocks]  # (n_blocks, heads, block, d_head)
-            heads, d_head = stacked.shape[1], stacked.shape[3]
-            flat = stacked.transpose(1, 0, 2, 3).reshape(heads, -1, d_head)
-            history = np.ascontiguousarray(flat[None, :, :length])
-            history.flags.writeable = False
-            out.append(history)
-        return out[0], out[1]
+        if 0 < length <= self.block_size:
+            block = slice(table[0], table[0] + 1)
+            keys = self._keys[layer, block, :, :length]
+            values = self._values[layer, block, :, :length]
+        else:
+            blocks = np.asarray(table[: self.blocks_for(length)], dtype=np.intp)
+            keys, values = (
+                _flatten(pool[layer, blocks], length)
+                for pool in (self._keys, self._values)
+            )
+        keys.flags.writeable = False
+        values.flags.writeable = False
+        return keys, values
 
-    # -- model-facing adapters -------------------------------------------
-    def layer_view(self, seq_id: str, layer: int) -> "_LayerView":
-        """A per-``(sequence, layer)`` adapter with the ``KVCache`` surface.
-
-        ``[cache.layer_view(seq, l) for l in range(n_layers)]`` drops into
-        :meth:`~repro.nn.transformer.LlamaModel.prefill` in place of a
-        ``KVCache`` list.
-        """
-        return _LayerView(self, seq_id, layer)
-
-    def ragged_view(self, seq_ids: list[str]) -> "RaggedView":
-        """The ``append(layer, row, k, v)`` backend for a decode batch."""
+    def ragged_view(self, seq_ids: Sequence[str]) -> "RaggedView":
+        """Batch row ``b`` → sequence ``seq_ids[b]``, at layer 0."""
         return RaggedView(self, seq_ids)
 
 
-class _LayerView:
-    """Adapter giving one (sequence, layer) the ``KVCache`` protocol."""
-
-    def __init__(self, cache: PagedKVCache, seq_id: str, layer: int) -> None:
-        self._cache = cache
-        self._seq_id = seq_id
-        self._layer = layer
-
-    @property
-    def length(self) -> int:
-        """Committed token count, as ``KVCache.length``."""
-        return self._cache.length(self._seq_id, self._layer)
-
-    def append(
-        self, k: np.ndarray, v: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Append new keys/values; returns the full read-only history."""
-        return self._cache.append(self._layer, self._seq_id, k, v)
+def _flatten(stacked: np.ndarray, length: int) -> np.ndarray:
+    """``(n_blocks, heads, block, d)`` → contiguous ``(1, heads, length, d)``."""
+    heads, d_head = stacked.shape[1], stacked.shape[3]
+    flat = stacked.transpose(1, 0, 2, 3).reshape(heads, -1, d_head)
+    return np.ascontiguousarray(flat[None, :, :length])
 
 
 class RaggedView:
-    """Maps decode-batch row indices onto paged sequences.
+    """Maps the rows of a batch onto paged sequences at one layer.
 
-    The backend object handed to
-    :meth:`~repro.nn.transformer.LlamaModel.decode_step_ragged`: row ``b``
-    of the batch reads and extends sequence ``seq_ids[b]``.
+    The cache handle :meth:`~repro.nn.transformer.LlamaModel.forward_cached`
+    takes: row ``b`` reads and extends sequence ``seq_ids[b]``.  Rows may
+    hold different lengths; :attr:`lengths` is where each row's new tokens
+    start, so the cache is the single source of truth for positions.
     """
 
-    def __init__(self, cache: PagedKVCache, seq_ids: list[str]) -> None:
+    def __init__(
+        self, cache: PagedKVCache, seq_ids: Sequence[str], layer: int = 0
+    ) -> None:
         self._cache = cache
         self._seq_ids = list(seq_ids)
+        self._layer = layer
+
+    @property
+    def lengths(self) -> list[int]:
+        """Cached length of every row at this view's layer."""
+        lengths, layer = self._cache._lengths, self._layer
+        return [lengths[seq_id][layer] for seq_id in self._seq_ids]
+
+    def at_layer(self, layer: int) -> "RaggedView":
+        """The same rows at another layer."""
+        return RaggedView(self._cache, self._seq_ids, layer)
 
     def append(
-        self, layer: int, row: int, k: np.ndarray, v: np.ndarray
+        self, row: int, k: np.ndarray, v: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Append row ``row``'s new K/V at ``layer``; returns its history."""
-        return self._cache.append(layer, self._seq_ids[row], k, v)
+        """Append row ``row``'s new K/V; returns its read-only history."""
+        return self._cache.append(self._layer, self._seq_ids[row], k, v)

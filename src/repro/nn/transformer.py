@@ -8,10 +8,10 @@ import numpy as np
 
 from repro.autograd import Tensor, ops
 from repro.nn import functional as F
-from repro.nn.attention import AttentionCapture, KVCache, MultiHeadAttention
+from repro.nn.attention import AttentionCapture, MultiHeadAttention
 from repro.nn.config import LlamaConfig
+from repro.nn.kvcache import PagedKVCache, RaggedView
 from repro.nn.modules import Embedding, Linear, Module, RMSNorm
-from repro.runtime.errors import RaggedBatchError
 
 __all__ = ["SwiGLU", "TransformerBlock", "LlamaModel"]
 
@@ -82,9 +82,11 @@ class TransformerBlock(Module):
 class LlamaModel(Module):
     """Causal language model with tied (optional) output embeddings.
 
-    Two execution paths: :meth:`forward` builds the autograd graph (used by
-    the trainer and LLM-QAT); :meth:`forward_array` is a numpy fast path used
-    by the evaluation harness and the calibration sweeps.
+    Three execution paths: :meth:`forward` builds the autograd graph (used
+    by the trainer and LLM-QAT); :meth:`forward_array` is a numpy fast path
+    used by the evaluation harness and the calibration sweeps;
+    :meth:`forward_cached` is the one incremental path over the paged KV
+    cache (``generate_cached``, LLM-QAT's data generation, serving).
     """
 
     def __init__(self, config: LlamaConfig, seed: int = 0) -> None:
@@ -121,6 +123,10 @@ class LlamaModel(Module):
         x = self.embed.weight.data[ids]
         for block in self.blocks:
             x = block.forward_array(x)
+        return self._logits(x)
+
+    def _logits(self, x: np.ndarray) -> np.ndarray:
+        """Final norm and output head over the residual stream (numpy)."""
         x = self.final_norm.forward_array(x)
         if self.lm_head is not None:
             return self.lm_head.forward_array(x)
@@ -149,114 +155,54 @@ class LlamaModel(Module):
         return ops.mean(ops.gather_nll(logits, targets))
 
     # ------------------------------------------------------------------
-    # Incremental decoding
+    # Incremental inference
     # ------------------------------------------------------------------
-    def new_cache(self) -> list[KVCache]:
-        """One empty KV cache per block, preallocated to ``max_seq_len``."""
-        return [KVCache(self.config.max_seq_len) for _ in self.blocks]
+    def new_cache(self, batch: int = 1) -> PagedKVCache:
+        """A KV cache for ``batch`` sequences, one ``max_seq_len`` block each.
 
-    def decode_step(
-        self, ids: np.ndarray, caches: list[KVCache]
-    ) -> np.ndarray:
-        """Append one token per batch row; returns next-token logits.
-
-        ``ids`` is (batch,) or (batch, 1).  Position is inferred from the
-        cache length; feeding more than ``max_seq_len`` total tokens is
-        rejected (sliding-window decoding requires a fresh cache).
+        Sequences are allocated as ``"0" .. str(batch - 1)``; pass
+        ``cache.ragged_view(cache.seq_ids())`` to :meth:`forward_cached`.
         """
-        ids = np.asarray(ids).reshape(-1, 1)
-        position = caches[0].length
-        if position >= self.config.max_seq_len:
-            raise ValueError("KV cache is full (max_seq_len reached)")
-        x = self.embed.weight.data[ids]
-        for block, cache in zip(self.blocks, caches):
-            normed = block.input_norm.forward_array(x)
-            x = x + block.self_attn.forward_step(normed, cache, position)
-            x = x + block.mlp.forward_array(
-                block.post_attn_norm.forward_array(x)
-            )
-        x = self.final_norm.forward_array(x)
-        if self.lm_head is not None:
-            logits = self.lm_head.forward_array(x)
-        else:
-            logits = x @ self.embed.weight.data.T
-        return logits[:, -1, :]
+        cache = PagedKVCache(
+            len(self.blocks), block_size=self.config.max_seq_len,
+            num_blocks=batch,
+        )
+        for row in range(batch):
+            cache.allocate(str(row))
+        return cache
 
-    def decode_step_ragged(
-        self, ids: np.ndarray, positions: np.ndarray, kv_backend
-    ) -> np.ndarray:
-        """Append one token per row at *per-row* positions (ragged batch).
+    def forward_cached(self, ids: np.ndarray, kv: RaggedView) -> np.ndarray:
+        """Feed ``(batch, seq)`` new tokens through the KV cache.
 
-        The continuous-batching decode step: row ``b`` extends a sequence
-        of length ``positions[b]`` (sequences of different lengths share
-        one batched pass).  ``kv_backend`` abstracts the per-row KV
-        storage with a single duck-typed method::
-
-            append(layer, row, k, v) -> (keys, values)
-
-        where ``k``/``v`` are the row's new key/value ``(1, h, 1, d)`` for
-        ``layer`` and the returned arrays are the row's full cached
-        ``(1, h, len, d)`` history (:class:`repro.serve.PagedKVCache`
-        provides exactly this).  Returns next-token logits
+        Row ``b`` extends the sequence ``kv`` maps it to, starting at that
+        sequence's cached length — rows may hold different lengths, and
+        positions come from the cache alone.  Returns next-token logits
         ``(batch, vocab)``.  Every layer is row-independent, so row ``b``
-        is bit-identical to a dedicated :meth:`decode_step` on a batch of
-        one — the property the serving layer's replay-after-crash
-        determinism rests on.
+        is bit-identical to the row extended alone, and on an empty cache
+        to :meth:`forward_array` — the properties ``generate_cached``,
+        LLM-QAT's self-generated data and the serving worker rest on.
+        Extending a sequence past ``max_seq_len`` is rejected (sliding-
+        window decoding requires :meth:`generate`).
         """
-        ids = np.asarray(ids).reshape(-1, 1)
-        positions = np.asarray(positions, dtype=np.int64).reshape(-1)
-        if int(positions.max()) >= self.config.max_seq_len:
+        ids = np.atleast_2d(np.asarray(ids))
+        lengths = kv.lengths
+        if ids.shape[1] == 0:
+            raise ValueError("input must contain at least one token")
+        if len(lengths) != ids.shape[0]:
+            raise ValueError(
+                f"{ids.shape[0]} input rows but the cache view maps "
+                f"{len(lengths)} sequences"
+            )
+        if max(lengths) + ids.shape[1] > self.config.max_seq_len:
             raise ValueError("KV cache is full (max_seq_len reached)")
         x = self.embed.weight.data[ids]
         for index, block in enumerate(self.blocks):
             normed = block.input_norm.forward_array(x)
-
-            def append(row, k, v, _layer=index):
-                return kv_backend.append(_layer, row, k, v)
-
-            x = x + block.self_attn.forward_step_ragged(
-                normed, positions, append
-            )
+            x = x + block.self_attn.forward_cached(normed, kv.at_layer(index))
             x = x + block.mlp.forward_array(
                 block.post_attn_norm.forward_array(x)
             )
-        x = self.final_norm.forward_array(x)
-        if self.lm_head is not None:
-            logits = self.lm_head.forward_array(x)
-        else:
-            logits = x @ self.embed.weight.data.T
-        return logits[:, -1, :]
-
-    def prefill(
-        self, ids: np.ndarray, caches: list[KVCache]
-    ) -> np.ndarray:
-        """Feed a ``(batch, seq)`` prompt through the caches in one pass.
-
-        Returns next-token logits ``(batch, vocab)`` and leaves ``caches``
-        holding the full prompt, exactly as ``seq`` successive
-        :meth:`decode_step` calls would — but with one batched attention per
-        block instead of ``seq`` single-token steps.  On fresh caches the
-        arithmetic is identical to :meth:`forward_array`.
-        """
-        ids = np.atleast_2d(np.asarray(ids))
-        if ids.shape[1] == 0:
-            raise ValueError("prompt must contain at least one token")
-        total = caches[0].length + ids.shape[1]
-        if total > self.config.max_seq_len:
-            raise ValueError("KV cache is full (max_seq_len reached)")
-        x = self.embed.weight.data[ids]
-        for block, cache in zip(self.blocks, caches):
-            normed = block.input_norm.forward_array(x)
-            x = x + block.self_attn.forward_prefill(normed, cache)
-            x = x + block.mlp.forward_array(
-                block.post_attn_norm.forward_array(x)
-            )
-        x = self.final_norm.forward_array(x)
-        if self.lm_head is not None:
-            logits = self.lm_head.forward_array(x)
-        else:
-            logits = x @ self.embed.weight.data.T
-        return logits[:, -1, :]
+        return self._logits(x)[:, -1, :]
 
     def generate_cached(
         self,
@@ -280,8 +226,9 @@ class LlamaModel(Module):
             raise ValueError(
                 "prompt plus continuation exceeds the context window"
             )
-        caches = self.new_cache()
-        logits = self.prefill(prompt[None, :], caches)
+        cache = self.new_cache()
+        kv = cache.ragged_view(cache.seq_ids())
+        logits = self.forward_cached(prompt[None, :], kv)
         sequence = list(prompt)
         for _ in range(max_new_tokens):
             row = logits[0]
@@ -291,67 +238,8 @@ class LlamaModel(Module):
                 probs = F.softmax(row / temperature)
                 token = int(rng.choice(probs.size, p=probs))
             sequence.append(token)
-            logits = self.decode_step(np.array([token]), caches)
+            logits = self.forward_cached(np.array([[token]]), kv)
         return np.asarray(sequence, dtype=np.int64)
-
-    def generate_batch(
-        self,
-        prompts: np.ndarray,
-        max_new_tokens: int,
-        temperature: float = 0.0,
-        rngs: Optional[list[np.random.Generator]] = None,
-    ) -> np.ndarray:
-        """Decode a batch of equal-length prompts in one cached pass.
-
-        ``prompts`` is ``(batch, prompt_len)``; returns
-        ``(batch, prompt_len + max_new_tokens)``.  Row ``b`` matches
-        ``generate_cached(prompts[b], ...)`` token for token (every layer is
-        row-independent, so batching only amortises dispatch overhead).  With
-        ``temperature > 0`` pass one generator per row via ``rngs``; the
-        default decodes greedily.
-        """
-        if max_new_tokens < 0:
-            raise ValueError("max_new_tokens must be non-negative")
-        if isinstance(prompts, (list, tuple)):
-            lengths = {len(np.asarray(p).reshape(-1)) for p in prompts}
-            if len(lengths) > 1:
-                raise RaggedBatchError(
-                    "generate_batch requires equal-length prompts (got "
-                    f"lengths {sorted(lengths)}); ragged batches are served "
-                    "by the paged path — repro.serve.ContinuousBatchScheduler "
-                    "over a PagedKVCache — or pad / call generate_cached "
-                    "per prompt"
-                )
-        prompts = np.atleast_2d(np.asarray(prompts))
-        batch, prompt_len = prompts.shape
-        if prompt_len == 0:
-            raise ValueError("prompts must contain at least one token")
-        if prompt_len + max_new_tokens > self.config.max_seq_len:
-            raise ValueError(
-                "prompt plus continuation exceeds the context window"
-            )
-        if temperature > 0.0:
-            if rngs is None or len(rngs) != batch:
-                raise ValueError(
-                    "sampling requires one rng per batch row"
-                )
-        caches = self.new_cache()
-        logits = self.prefill(prompts, caches)
-        sequences = [list(row) for row in prompts]
-        for _ in range(max_new_tokens):
-            tokens = np.empty(batch, dtype=np.int64)
-            for row_index in range(batch):
-                row = logits[row_index]
-                if temperature <= 0.0:
-                    tokens[row_index] = int(np.argmax(row))
-                else:
-                    probs = F.softmax(row / temperature)
-                    tokens[row_index] = int(
-                        rngs[row_index].choice(probs.size, p=probs)
-                    )
-                sequences[row_index].append(int(tokens[row_index]))
-            logits = self.decode_step(tokens, caches)
-        return np.asarray(sequences, dtype=np.int64)
 
     def generate(
         self,

@@ -59,8 +59,9 @@ def generate_self_data(
     vocab = model.config.vocab_size
     sequences = np.empty((n_sequences, seq_len), dtype=np.int64)
     sequences[:, 0] = rng.integers(vocab, size=n_sequences)
-    caches = model.new_cache()
-    logits = model.decode_step(sequences[:, 0], caches)
+    cache = model.new_cache(n_sequences)
+    kv = cache.ragged_view(cache.seq_ids())
+    logits = model.forward_cached(sequences[:, :1], kv)
     for position in range(1, seq_len):
         probs = F.softmax(logits / temperature, axis=-1)
         cumulative = np.cumsum(probs, axis=-1)
@@ -69,7 +70,9 @@ def generate_self_data(
             (cumulative < draws).sum(axis=-1), vocab - 1
         )
         if position + 1 < seq_len:
-            logits = model.decode_step(sequences[:, position], caches)
+            logits = model.forward_cached(
+                sequences[:, position : position + 1], kv
+            )
     return sequences
 
 

@@ -201,8 +201,9 @@ def eval_bench_records(
       vs the unfused log-softmax-then-gather reference on a
       ``(8, 128, vocab)`` logit block (bit-identical by the shared max
       shift and reduction order);
-    * ``kvcache-generate`` — sliding-window :meth:`generate` vs the
-      prefill + preallocated-KV-cache :meth:`generate_cached` decode
+    * ``kvcache-generate`` — sliding-window :meth:`generate` vs
+      :meth:`generate_cached`, one prefill then one-token steps of
+      :meth:`forward_cached` over a one-block-per-sequence paged KV cache
       (token-for-token equal);
     * ``packed-forward-<N>x<N>`` — per-call dequantize-then-matmul vs the
       memoised LUT-dequantized weight of :class:`QuantizedLinear`
@@ -742,9 +743,10 @@ def serve_bench_records(
     Two records, both re-checking bit-identity at measure time:
 
     * ``serve-paged-decode`` — B ragged sequences decoded as one
-      continuous batch over the :class:`~repro.serve.paged_cache.PagedKVCache`
+      continuous batch over the :class:`~repro.nn.kvcache.PagedKVCache`
       (via :class:`~repro.serve.engine.InProcessWorker`) vs a serial
-      :meth:`generate_cached` loop;
+      :meth:`generate_cached` loop.  Both sides run the same
+      :meth:`forward_cached`, so the ratio measures batching alone;
     * ``serve-continuous-batching`` — the full async
       :class:`~repro.serve.scheduler.ContinuousBatchScheduler` over a
       seeded open-loop workload vs the same serial loop, with latency

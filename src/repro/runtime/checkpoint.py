@@ -10,10 +10,13 @@ picks up blindly.  Two mechanisms close that hole:
   file or the new file, never a torn one.
 * **SHA-256 sidecars** — every write also lands ``<file>.sha256`` holding
   the payload digest, computed from the in-memory payload that was written,
-  so a write never reads its file back.
-  :func:`verify_checksum` re-hashes on load and raises
-  :class:`~repro.runtime.errors.CheckpointError` on any mismatch, which
-  catches bit-flips that a successful ``np.load`` would happily decode.
+  so a write never reads its file back.  The sidecar lands *first* and
+  records the digest of the file it replaces too, so a crash between the
+  two renames leaves the previous file verifiable (see
+  :func:`_atomic_write_checksummed`).  :func:`verify_checksum` re-hashes on
+  load and raises :class:`~repro.runtime.errors.CheckpointError` when the
+  file matches no recorded digest, which catches bit-flips that a
+  successful ``np.load`` would happily decode.
 
 On top of the primitives sits a small ``.npz``-based container
 (:func:`save_checkpoint` / :func:`load_checkpoint`) that pairs arbitrary
@@ -111,9 +114,18 @@ def checksum_path(path: str | Path) -> Path:
     return path.with_name(path.name + ".sha256")
 
 
-def _write_sidecar(path: Path, digest: str) -> Path:
-    line = f"{digest}  {path.name}\n"
-    return atomic_write_bytes(checksum_path(path), line.encode())
+def _write_sidecar(path: Path, *digests: str) -> Path:
+    lines = "".join(f"{digest}  {path.name}\n" for digest in digests)
+    return atomic_write_bytes(checksum_path(path), lines.encode())
+
+
+def _recorded_digests(sidecar: Path) -> list[str]:
+    """The digests a sidecar records, newest first."""
+    digests = [line.split()[0] for line in sidecar.read_text().splitlines()
+               if line.strip()]
+    if not digests or any(len(digest) != 64 for digest in digests):
+        raise CheckpointError(f"unparseable checksum sidecar {sidecar}")
+    return digests
 
 
 def write_checksum(path: str | Path) -> Path:
@@ -122,24 +134,56 @@ def write_checksum(path: str | Path) -> Path:
     return _write_sidecar(path, sha256_of_file(path))
 
 
+def _replaced_digest(path: Path) -> str | None:
+    """Digest of the verifiable file a write to ``path`` replaces, if any.
+
+    A one-digest sidecar names it.  Two digests are left only by a write
+    interrupted between its renames; the file is hashed to tell which.
+    """
+    sidecar = checksum_path(path)
+    if not (path.exists() and sidecar.exists()):
+        return None
+    try:
+        digests = _recorded_digests(sidecar)
+    except CheckpointError:
+        return None
+    if len(digests) == 1:
+        return digests[0]
+    actual = sha256_of_file(path)
+    return actual if actual in digests else None
+
+
 def _atomic_write_checksummed(path: str | Path, data: bytes | memoryview) -> Path:
     """:func:`atomic_write_bytes` plus a sidecar digested from ``data``.
 
     Same sidecar as :func:`write_checksum`, but hashed from the bytes in
-    memory rather than by reading the written file back.
+    memory rather than by reading the written file back.  The sidecar
+    lands first, recording the new digest and the one it replaces, so
+    every crash point leaves a pair that verifies: a failed sidecar write
+    leaves the previous pair untouched, and a failed file write leaves the
+    previous file matching its recorded digest.  Once the file is in
+    place the sidecar is narrowed to the new digest.
     """
-    path = atomic_write_bytes(path, data)
-    _write_sidecar(path, hashlib.sha256(data).hexdigest())
+    path = Path(path)
+    digest = hashlib.sha256(data).hexdigest()
+    replaced = _replaced_digest(path)
+    if replaced is None or replaced == digest:
+        _write_sidecar(path, digest)
+        return atomic_write_bytes(path, data)
+    _write_sidecar(path, digest, replaced)
+    atomic_write_bytes(path, data)
+    _write_sidecar(path, digest)
     return path
 
 
 def verify_checksum(path: str | Path, required: bool = False) -> bool:
     """Check ``path`` against its SHA-256 sidecar.
 
-    Returns True when the digest matches, False when no sidecar exists and
-    ``required`` is False.  Raises :class:`CheckpointError` on a digest
-    mismatch, an unparseable sidecar, or a missing sidecar with
-    ``required=True``.
+    Returns True when the file matches a recorded digest — the newest, or
+    the one it replaces while a write is between its renames — and False
+    when no sidecar exists and ``required`` is False.  Raises
+    :class:`CheckpointError` on a digest mismatch, an unparseable sidecar,
+    or a missing sidecar with ``required=True``.
     """
     path = Path(path)
     sidecar = checksum_path(path)
@@ -147,11 +191,9 @@ def verify_checksum(path: str | Path, required: bool = False) -> bool:
         if required:
             raise CheckpointError(f"no checksum sidecar for {path}")
         return False
-    recorded = sidecar.read_text().split()
-    if not recorded or len(recorded[0]) != 64:
-        raise CheckpointError(f"unparseable checksum sidecar {sidecar}")
+    recorded = _recorded_digests(sidecar)
     actual = sha256_of_file(path)
-    if actual != recorded[0]:
+    if actual not in recorded:
         raise CheckpointError(
             f"checksum mismatch for {path}: file hashes to {actual[:12]}..., "
             f"sidecar records {recorded[0][:12]}...; the checkpoint is "

@@ -1,6 +1,6 @@
 """Decode workers: the compute half of the serving layer.
 
-A worker owns a model plus a :class:`~repro.serve.paged_cache.PagedKVCache`
+A worker owns a model plus a :class:`~repro.nn.kvcache.PagedKVCache`
 and exposes four operations — ``prefill``, ``decode``, ``release``,
 ``stats`` — all returning plain values (logits arrays, dicts), never
 mutating scheduler state.  Sampling deliberately does *not* happen here:
@@ -33,7 +33,7 @@ import numpy as np
 from repro.runtime import faults
 from repro.runtime.errors import WorkerCrashed, WorkerStalled
 from repro.runtime.parallel import ForkedWorker
-from repro.serve.paged_cache import PagedKVCache
+from repro.nn.kvcache import PagedKVCache
 
 __all__ = ["ForkedEngineWorker", "InProcessWorker"]
 
@@ -44,7 +44,8 @@ class InProcessWorker:
     ``decode(entries)`` takes ``(seq_id, token, position)`` triples — one
     per running sequence — reserves every needed KV block *before* any
     compute (so :class:`~repro.runtime.errors.CacheExhausted` can never
-    leave a half-written step), then runs one batched ragged decode step.
+    leave a half-written step), then runs one batched
+    :meth:`~repro.nn.transformer.LlamaModel.forward_cached` step.
     It returns ``(logits, injected_delay)``; the delay is the value read
     from the ``"slow-decode-step"`` fault site, which the scheduler applies
     to its own clock.
@@ -94,11 +95,9 @@ class InProcessWorker:
         self._cache.allocate(seq_id)
         try:
             self._cache.reserve(seq_id, tokens.size)
-            views = [
-                self._cache.layer_view(seq_id, layer)
-                for layer in range(self._cache.n_layers)
-            ]
-            logits = self._model.prefill(tokens[None, :], views)
+            logits = self._model.forward_cached(
+                tokens[None, :], self._cache.ragged_view([seq_id])
+            )
         except BaseException:
             self._cache.free(seq_id)
             raise
@@ -110,10 +109,19 @@ class InProcessWorker:
         """One batched ragged decode step over running sequences.
 
         ``entries`` rows are ``(seq_id, last_token, position)`` where
-        ``position`` is the sequence's current cached length.  Returns
-        ``(logits, injected_delay)`` with logits ``(batch, vocab)``.
+        ``position`` must equal the sequence's current cached length — the
+        cache decides where the token lands, so a mismatch raises
+        ``ValueError`` before any block is reserved or KV byte written.
+        Returns ``(logits, injected_delay)`` with logits ``(batch, vocab)``.
         """
         self._guard()
+        for seq_id, _, position in entries:
+            cached = self._cache.length(seq_id)
+            if position != cached:
+                raise ValueError(
+                    f"decode position {position} for sequence {seq_id!r} "
+                    f"does not match its cached length {cached}"
+                )
         self._steps += 1
         key = f"decode:{self._steps}"
         self._fault_gate(key)
@@ -122,12 +130,9 @@ class InProcessWorker:
         # Reserve first: exhaustion must surface before any KV write.
         for seq_id, _, position in entries:
             self._cache.reserve(seq_id, position + 1)
-        ids = np.asarray([token for _, token, _ in entries], dtype=np.int64)
-        positions = np.asarray(
-            [position for _, _, position in entries], dtype=np.int64
-        )
-        logits = self._model.decode_step_ragged(
-            ids, positions, self._cache.ragged_view(seq_ids)
+        ids = np.asarray([[token] for _, token, _ in entries], dtype=np.int64)
+        logits = self._model.forward_cached(
+            ids, self._cache.ragged_view(seq_ids)
         )
         return logits, delay
 

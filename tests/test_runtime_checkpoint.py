@@ -106,6 +106,57 @@ class TestChecksums:
             verify_checksum(target)
 
 
+class TestSidecarFirstWrites:
+    """``save_checkpoint`` lands the sidecar before the archive."""
+
+    def _two_writes(self, tmp_path, fault_key):
+        target = tmp_path / "run.npz"
+        save_checkpoint(target, {"w": np.zeros(3)}, {"block": 1})
+        first = target.read_bytes()
+        with FaultInjector().fail_at(
+            "io", fault_key, OSError("injected crash")
+        ):
+            with pytest.raises(OSError, match="injected crash"):
+                save_checkpoint(target, {"w": np.ones(3)}, {"block": 2})
+        return target, first
+
+    def test_failed_sidecar_write_leaves_previous_pair(self, tmp_path):
+        target, first = self._two_writes(tmp_path, "run.npz.sha256")
+        assert target.read_bytes() == first
+        assert len(checksum_path(target).read_text().splitlines()) == 1
+        assert verify_checksum(target, required=True)
+        assert load_checkpoint(target)[1] == {"block": 1}
+
+    def test_failed_archive_write_leaves_previous_archive_verified(
+        self, tmp_path
+    ):
+        target, first = self._two_writes(tmp_path, "run.npz")
+        assert target.read_bytes() == first
+        # The sidecar names the pending archive and the one it replaces.
+        assert len(checksum_path(target).read_text().splitlines()) == 2
+        assert verify_checksum(target, required=True)
+        assert load_checkpoint(target)[1] == {"block": 1}
+        # The next write resolves the interrupted pair and narrows it.
+        save_checkpoint(target, {"w": np.ones(3)}, {"block": 2})
+        assert len(checksum_path(target).read_text().splitlines()) == 1
+        assert load_checkpoint(target)[1] == {"block": 2}
+
+    def test_first_write_never_leaves_an_unverified_archive(self, tmp_path):
+        target = tmp_path / "run.npz"
+        with FaultInjector().fail_at(
+            "io", "run.npz.sha256", OSError("injected crash")
+        ):
+            with pytest.raises(OSError):
+                save_checkpoint(target, {"w": np.zeros(3)}, {})
+        assert not target.exists()
+
+    def test_file_matching_no_recorded_digest_rejected(self, tmp_path):
+        target, _ = self._two_writes(tmp_path, "run.npz")
+        flip_bit(target, byte_offset=40, bit=1)
+        with pytest.raises(CheckpointError, match="checksum mismatch"):
+            verify_checksum(target)
+
+
 class TestCheckpointContainer:
     def test_roundtrip_arrays_and_meta(self, tmp_path, rng):
         target = tmp_path / "run.npz"

@@ -313,3 +313,27 @@ class TestFailedCheckpointWrite:
         model = clone(trained_micro_model)
         result = _resume(model, calibration, checkpoint)
         _assert_matches_clean_run(result, model, clean_run)
+
+    @pytest.mark.parametrize("suffix", ["", ".sha256"])
+    def test_crash_at_either_rename_resumes_from_previous_block(
+        self, trained_micro_model, calibration, clean_run, block1_checkpoint,
+        tmp_path, suffix,
+    ):
+        # The block-2 write of a 2-block run fails at its archive rename or
+        # at its sidecar rename; neither may cost the finished block 1 nor
+        # let an unverified archive load.
+        checkpoint = _copy_checkpoint(block1_checkpoint, tmp_path)
+        key = checkpoint.name + suffix
+        with FaultInjector().fail_at(
+            "io", key, OSError("injected crash")
+        ) as injector:
+            with pytest.raises(OSError, match="injected crash"):
+                _resume(clone(trained_micro_model), calibration, checkpoint)
+        assert injector.fired == [("io", key)]
+        assert verify_checksum(checkpoint, required=True)
+
+        model = clone(trained_micro_model)
+        result = _resume(model, calibration, checkpoint)
+        assert result.health.by_category("warning") == ()
+        assert result.health.by_category("resume")[0].detail["next_block"] == 1
+        _assert_matches_clean_run(result, model, clean_run)

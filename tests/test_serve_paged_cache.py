@@ -1,7 +1,7 @@
 """Paged KV cache: bit-identity over ragged batches and pool edge cases.
 
 The serving layer's correctness rests on one claim: decoding a ragged
-batch over the block-pooled :class:`~repro.serve.paged_cache.PagedKVCache`
+batch over the block-pooled :class:`~repro.nn.kvcache.PagedKVCache`
 produces, per sequence, exactly the tokens a serial
 :meth:`~repro.nn.transformer.LlamaModel.generate_cached` run produces.
 These tests pin that claim directly (including as a Hypothesis property
@@ -18,9 +18,9 @@ from hypothesis import strategies as st
 
 from repro.nn.config import LlamaConfig
 from repro.nn.transformer import LlamaModel
-from repro.runtime.errors import CacheExhausted, RaggedBatchError
+from repro.runtime.errors import CacheExhausted
 from repro.serve.engine import InProcessWorker
-from repro.serve.paged_cache import PagedKVCache
+from repro.serve import PagedKVCache
 
 CONFIG = LlamaConfig(
     vocab_size=61,
@@ -113,16 +113,6 @@ class TestRaggedBitIdentity:
             reference = model.generate_cached(prompt, budget, temperature=0.0)
             np.testing.assert_array_equal(outputs[f"s{index}"], reference)
 
-    def test_generate_batch_rejects_ragged_with_pointer(self, model):
-        with pytest.raises(RaggedBatchError, match="repro.serve"):
-            model.generate_batch(
-                [np.array([1, 2]), np.array([1, 2, 3])], max_new_tokens=2
-            )
-
-    def test_ragged_batch_error_is_value_error(self):
-        # Callers that guarded the old ValueError keep working.
-        assert issubclass(RaggedBatchError, ValueError)
-
 
 class TestBlockPool:
     def _filled_cache(self, tokens=5):
@@ -192,3 +182,19 @@ class TestBlockPool:
         # The failed sequence left nothing behind: a fitting one succeeds.
         worker.prefill("small", rng.integers(0, 61, size=4))
         assert worker.stats()["sequences"] == 1
+
+    def test_decode_position_must_match_cache_length(self, model):
+        # The cache decides where a token lands; a caller-supplied position
+        # that disagrees is rejected before any reservation or KV write.
+        worker = InProcessWorker(model, block_size=2, num_blocks=8)
+        worker.prefill("a", np.array([3, 4, 5]))
+        before = worker.stats()
+        for wrong in (2, 4):
+            with pytest.raises(ValueError, match="cached length 3"):
+                worker.decode([("a", 7, wrong)])
+        assert worker.stats() == before
+        logits, _ = worker.decode([("a", 7, 3)])
+        cache = model.new_cache()
+        kv = cache.ragged_view(cache.seq_ids())
+        model.forward_cached([[3, 4, 5]], kv)
+        np.testing.assert_array_equal(logits, model.forward_cached([[7]], kv))
